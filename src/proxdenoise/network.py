@@ -297,11 +297,14 @@ def network_forward(y, sigma, params: NetworkParams, want_tape=False, table=None
     """Run the cascade on a noisy image; returns the denoised image.
 
     The group index table is built from y itself once and reused by every
-    stage; pass a precomputed table to skip the matching.
+    stage; pass a precomputed table to skip the matching.  Rejects a
+    non-finite y, which would otherwise turn every output pixel into NaN.
     """
     y = np.asarray(y)
     if y.ndim != 3 or y.shape[2] != params.arch.channels:
         raise ShapeMismatch("input must be (H, W, C) matching the architecture")
+    if not np.isfinite(y).all():
+        raise BadArgument("input image must be finite")
     if params.arch.variant == "nonlocal" and table is None:
         table = match_table(y, params.arch)
     tape = ForwardTape(y, float(sigma), table)

@@ -139,3 +139,12 @@ def group_filter_oracle(features, indices, g):
         for p in range(indices.shape[1]):
             out[k] += float(g[p]) * flat[indices[k, p]]
     return out.reshape(gh, gw, f)
+
+
+def group_adjoint_oracle(z, indices, g):
+    """Per-slot scatter-add with np.add.at, in the dtype of z."""
+    flat = z.reshape(-1, z.shape[-1])
+    out = np.zeros_like(flat)
+    for p in range(indices.shape[1]):
+        np.add.at(out, indices[:, p], g[p] * flat)
+    return out.reshape(z.shape)

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from conftest import block_match_oracle, group_filter_oracle, synthetic_image
+from conftest import block_match_oracle, group_adjoint_oracle, group_filter_oracle, synthetic_image
 
+from proxdenoise import grouping
 from proxdenoise.conv import FilterBank, conv_adjoint, conv_forward
 from proxdenoise.errors import BadArgument, DegenerateWeights, ShapeMismatch
 from proxdenoise.grouping import (
@@ -23,8 +24,10 @@ from proxdenoise.verify import fd_inplace, rel_error
 class TestBlockMatch:
     def test_reference_always_first(self, rng):
         y = rng.uniform(0, 255, (10, 10, 1))
-        table = block_match(y, (3, 3), (5, 5), 4)
-        np.testing.assert_array_equal(table.indices[:, 0], np.arange(table.sites))
+        for group_size in (4, 1):
+            table = block_match(y, (3, 3), (5, 5), group_size)
+            assert table.group_size == group_size
+            np.testing.assert_array_equal(table.indices[:, 0], np.arange(table.sites))
 
     def test_constant_image_tie_break(self):
         # all distances are zero: after the reference come the smallest
@@ -49,13 +52,32 @@ class TestBlockMatch:
         ref = 1 * gw + 1
         assert table.indices[ref, 1] == 6 * gw + 6
 
-    @pytest.mark.parametrize("channels", [1, 3])
-    def test_matches_exhaustive_oracle(self, channels):
+    @pytest.mark.parametrize(
+        "channels, levels, patch, window, group_size, chunk_bytes",
+        [
+            pytest.param(1, None, (5, 5), (11, 11), 4, None, id="1"),
+            pytest.param(3, None, (5, 5), (11, 11), 4, None, id="3"),
+            # pixel values in {0..3}: most distances tie, which a selection
+            # that is not tie-exact (plain argpartition) gets wrong
+            pytest.param(1, 4, (5, 5), (11, 11), 6, None, id="ties-1"),
+            pytest.param(3, 4, (5, 5), (11, 11), 6, None, id="ties-3"),
+            pytest.param(1, 4, (3, 5), (7, 13), 6, None, id="ties-nonsquare"),
+            # a one-byte budget makes every grid row its own chunk
+            pytest.param(3, 4, (4, 3), (9, 5), 6, 1, id="ties-row-chunks"),
+        ],
+    )
+    def test_matches_exhaustive_oracle(self, monkeypatch, channels, levels, patch, window,
+                                       group_size, chunk_bytes):
+        if chunk_bytes is not None:
+            monkeypatch.setattr(grouping, "_CHUNK_BYTES", chunk_bytes)
         for seed in range(6):
             rng = np.random.default_rng([7, seed])
-            y = rng.uniform(0, 255, (16, 16, channels))
-            table = block_match(y, (5, 5), (11, 11), 4)
-            want = block_match_oracle(y, (5, 5), (11, 11), 4)
+            if levels is None:
+                y = rng.uniform(0, 255, (16, 16, channels))
+            else:
+                y = rng.integers(0, levels, (16, 16, channels)).astype(np.float64)
+            table = block_match(y, patch, window, group_size)
+            want = block_match_oracle(y, patch, window, group_size)
             np.testing.assert_array_equal(table.indices, want)
 
     def test_natural_image_oracle(self):
@@ -65,16 +87,28 @@ class TestBlockMatch:
 
     def test_group_too_large(self, rng):
         y = rng.uniform(0, 255, (8, 8, 1))
-        with pytest.raises(BadArgument):
-            block_match(y, (3, 3), (5, 5), 10)  # corner population is 9
+        for group_size in (10, 0, 2.5, np.float64(3.0)):  # corner population is 9
+            with pytest.raises(BadArgument):
+                block_match(y, (3, 3), (5, 5), group_size)
 
     def test_even_window_rejected(self, rng):
-        with pytest.raises(BadArgument):
-            block_match(rng.uniform(0, 255, (8, 8, 1)), (3, 3), (4, 5), 2)
+        y = rng.uniform(0, 255, (8, 8, 1))
+        for window in ((4, 5), (5, 0), (-1, 5), (3.0, 5)):
+            with pytest.raises(BadArgument):
+                block_match(y, (3, 3), window, 2)
 
     def test_patch_must_fit(self, rng):
-        with pytest.raises(BadArgument):
-            block_match(rng.uniform(0, 255, (4, 4, 1)), (5, 5), (3, 3), 2)
+        y = rng.uniform(0, 255, (4, 4, 1))
+        for patch in ((5, 5), (0, 3), (3, -1), (2.5, 2)):
+            with pytest.raises(BadArgument):
+                block_match(y, patch, (3, 3), 2)
+
+    def test_non_finite_image_rejected(self, rng):
+        for bad in (np.nan, np.inf, -np.inf):
+            y = rng.uniform(0, 255, (8, 8, 1))
+            y[3, 4, 0] = bad
+            with pytest.raises(BadArgument):
+                block_match(y, (3, 3), (5, 5), 2)
 
     def test_indices_inside_window(self, rng):
         y = rng.uniform(0, 255, (14, 13, 1))
@@ -129,6 +163,28 @@ class TestGroupFilter:
         want = group_filter_oracle(feats, table.indices, gw.effective())
         assert rel_error(got, want) < 1e-14
 
+    def test_adjoint_matches_scatter_oracle(self, monkeypatch):
+        # the left half is constant, so every tie breaks toward the window
+        # corner: a few sites join many groups and many sites join none
+        rng = np.random.default_rng(21)
+        y = rng.integers(0, 4, (14, 16, 1)).astype(np.float64)
+        y[:, :8] = 1.0
+        table = block_match(y, (3, 3), (7, 7), 5)
+        uses = np.bincount(table.indices.ravel(), minlength=table.sites)
+        assert uses.min() == 1 and uses.max() >= 3 * table.group_size
+        gw = GroupWeights(rng.uniform(0.1, 1.0, 5).astype(np.float32))
+        z = rng.standard_normal((table.grid_h, table.grid_w, 3)).astype(np.float32)
+        want = group_adjoint_oracle(z, table.indices, gw.effective())
+        # both sides sum uses[t] float32 products in different orders
+        scale = group_adjoint_oracle(np.abs(z).astype(np.float64), table.indices, gw.effective())
+        tol = 2 * uses[:, None] * np.finfo(np.float32).eps * scale.reshape(-1, 3)
+        for chunk_bytes in (grouping._CHUNK_BYTES, 1):  # one target per chunk
+            monkeypatch.setattr(grouping, "_CHUNK_BYTES", chunk_bytes)
+            got = group_filter_adjoint(z, table, gw)
+            assert got.dtype == np.float32
+            err = np.abs(got - want).reshape(-1, 3)
+            assert (err <= tol).all()
+
     def test_adjoint_dot_identity(self, rng):
         for _ in range(25):
             table, a = self.make_case(rng, filters=int(rng.integers(1, 4)))
@@ -159,6 +215,11 @@ class TestGroupFilter:
     def test_table_row_count_checked(self):
         with pytest.raises(ShapeMismatch):
             GroupIndexTable(np.zeros((5, 2), dtype=np.int64), 2, 2)
+
+    def test_table_indices_must_be_sites(self):
+        for bad in (-1, 4):
+            with pytest.raises(BadArgument):
+                GroupIndexTable(np.array([[0, 1], [1, 0], [2, bad], [3, 2]]), 2, 2)
 
 
 class TestNonlocalOperator:

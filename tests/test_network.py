@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import synthetic_image
 
-from proxdenoise.errors import ShapeMismatch, TapeMismatch
+from proxdenoise.errors import BadArgument, ShapeMismatch, TapeMismatch
 from proxdenoise.network import (
     Architecture,
     cast_params,
@@ -100,6 +100,16 @@ class TestForward:
             network_forward(np.zeros((8, 8, 3)), 10.0, params)
         with pytest.raises(ShapeMismatch):
             network_forward(np.zeros((8, 8)), 10.0, params)
+
+    @pytest.mark.parametrize("variant", ["local", "nonlocal"])
+    def test_non_finite_input_rejected(self, variant):
+        # one bad pixel would otherwise turn the whole output into NaN
+        params = init_network(tiny_arch(variant), seed=1)
+        for bad in (np.nan, np.inf):
+            y = synthetic_image(1, 12, 12)
+            y[5, 6, 0] = bad
+            with pytest.raises(BadArgument):
+                network_forward(y, 15.0, params)
 
     def test_precomputed_table_matches(self):
         params = init_network(tiny_arch("nonlocal"), seed=5)
